@@ -27,14 +27,15 @@ type Proof struct {
 func Size(g *group.Group) int { return 32 + g.ScalarLen() }
 
 // Prove returns a proof that a = g1^x and b = g2^x share the exponent x.
-func Prove(g *group.Group, g1, g2, a, b, x *big.Int, rand io.Reader) (*Proof, error) {
+// g1 is a fixed-base handle: in every use here it is the group generator.
+func Prove(g *group.Group, g1 *group.Fixed, g2, a, b, x *big.Int, rand io.Reader) (*Proof, error) {
 	w, err := shamir.RandInt(rand, g.Q)
 	if err != nil {
 		return nil, err
 	}
-	t1 := g.Exp(g1, w)
+	t1 := g1.Exp(w)
 	t2 := g.Exp(g2, w)
-	c := challenge(g, g1, g2, a, b, t1, t2)
+	c := challenge(g, g1.Base(), g2, a, b, t1, t2)
 	z := new(big.Int).Mul(c, x)
 	z.Add(z, w)
 	z.Mod(z, g.Q)
@@ -43,24 +44,27 @@ func Prove(g *group.Group, g1, g2, a, b, x *big.Int, rand io.Reader) (*Proof, er
 
 // Verify checks a proof against the claimed pairs (g1, a) and (g2, b).
 //
-// b is membership-checked through the group's verdict memo: in every use
-// here (coin and decryption shares) b is a verification key that recurs
-// across thousands of checks. a is the share value and is checked exactly
-// each time it is first seen — callers that verify the same share many
-// times (one per simulated party) dedup whole verdicts a layer up.
-func Verify(g *group.Group, g1, g2, a, b *big.Int, p *Proof) error {
+// g1 and a are fixed-base handles: in every use here (coin and decryption
+// shares) g1 is the generator and a a party's verification key, bases
+// that recur across thousands of checks, so t1 = g1^z * a^-c comes from
+// their precomputed tables. a is also membership-checked through the
+// group's verdict memo. b is the one-shot share value and is checked
+// exactly — callers that verify the same share many times (one per
+// simulated party) dedup whole verdicts a layer up. t2 = g2^z * b^-c is
+// one simultaneous exponentiation.
+func Verify(g *group.Group, g1 *group.Fixed, g2 *big.Int, a *group.Fixed, b *big.Int, p *Proof) error {
 	if p == nil || p.C == nil || p.Z == nil {
 		return errors.New("dleq: nil proof")
 	}
-	if !g.IsElement(a) || !g.IsElementCached(b) {
+	if !g.IsElementCached(a.Base()) || !g.IsElement(b) {
 		return errors.New("dleq: claimed values not in group")
 	}
-	// Recompute commitments: t1 = g1^z * a^-c, t2 = g2^z * b^-c.
 	negC := new(big.Int).Neg(p.C)
 	negC.Mod(negC, g.Q)
-	t1 := g.Mul(g.Exp(g1, p.Z), g.Exp(a, negC))
-	t2 := g.Mul(g.Exp(g2, p.Z), g.Exp(b, negC))
-	if challenge(g, g1, g2, a, b, t1, t2).Cmp(p.C) != 0 {
+	es := []*big.Int{p.Z, negC}
+	t1 := g.MultiExpFixed([]*group.Fixed{g1, a}, es)
+	t2 := g.MultiExp([]*big.Int{g2, b}, es)
+	if challenge(g, g1.Base(), g2, a.Base(), b, t1, t2).Cmp(p.C) != 0 {
 		return errors.New("dleq: proof rejected")
 	}
 	return nil
@@ -68,9 +72,11 @@ func Verify(g *group.Group, g1, g2, a, b *big.Int, p *Proof) error {
 
 // Statement is one (claimed pairs, proof) instance for VerifyBatch.
 type Statement struct {
-	G1, G2 *big.Int // bases
-	A, B   *big.Int // claimed powers: A = G1^x, B = G2^x
-	Proof  *Proof
+	G1    *group.Fixed // fixed first base
+	G2    *big.Int     // second base
+	A     *group.Fixed // recurring claimed power A = G1^x
+	B     *big.Int     // one-shot claimed power B = G2^x
+	Proof *Proof
 }
 
 // VerifyBatch checks a batch of proofs and returns one verdict per
@@ -78,17 +84,17 @@ type Statement struct {
 // it — the batch rejects everything per-statement verification rejects.
 //
 // The amortization is the shared fixed-point work (memoized membership of
-// the recurring B values, one pass over the batch); each proof's
-// commitments are still recomputed individually. A randomized-linear-
-// combination shortcut is impossible for Fiat–Shamir Chaum–Pedersen
-// proofs: the verifier must reproduce every proof's exact commitments
-// (t1, t2) to recheck its challenge hash, and a random combination of
-// several statements yields only a blended commitment that validates no
-// individual challenge. (Where the per-item check is a bare group
-// equation — e.g. subgroup membership v^Q = 1 — an RLC is unsound here
-// too: Z_p^* has small-order components outside the subgroup, which a
-// combination detects only with constant probability, and this simulator
-// requires accept/reject decisions to be exact.)
+// the recurring A values and the fixed-base tables of G1 and A); each
+// proof's commitments are still recomputed individually. A
+// randomized-linear-combination shortcut is impossible for Fiat–Shamir
+// Chaum–Pedersen proofs: the verifier must reproduce every proof's exact
+// commitments (t1, t2) to recheck its challenge hash, and a random
+// combination of several statements yields only a blended commitment that
+// validates no individual challenge. (Where the per-item check is a bare
+// group equation — e.g. subgroup membership v^Q = 1 — an RLC is unsound
+// here too: Z_p^* has small-order components outside the subgroup, which
+// a combination detects only with constant probability, and this
+// simulator requires accept/reject decisions to be exact.)
 func VerifyBatch(g *group.Group, stmts []Statement) []error {
 	errs := make([]error, len(stmts))
 	for i, st := range stmts {

@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"math/big"
 	"sync"
+
+	"repro/internal/crypto/mont"
 )
 
 // Group describes a prime-order subgroup of Z_p^*. The embedded parameter
@@ -37,6 +39,11 @@ type Group struct {
 	mu       sync.Mutex
 	cofactor *big.Int        // (P-1)/Q, computed on first HashToGroup
 	members  map[string]bool // memoized IsElement verdicts for recurring values
+
+	wideOnce sync.Once
+	wide     *mont.Wide // P's 8-word kernel; nil for widths without one
+	gOnce    sync.Once
+	gFixed   *Fixed // G's fixed-base handle, shared by every ExpG
 }
 
 // ElementLen returns the byte length of a serialized group element.
@@ -50,8 +57,97 @@ func (g *Group) Exp(base, e *big.Int) *big.Int {
 	return new(big.Int).Exp(base, e, g.P)
 }
 
-// ExpG returns G^e mod P.
-func (g *Group) ExpG(e *big.Int) *big.Int { return g.Exp(g.G, e) }
+// ExpG returns G^e mod P, through the group's lazily built G table.
+func (g *Group) ExpG(e *big.Int) *big.Int { return g.FixedG().Exp(e) }
+
+// FixedG returns the fixed-base handle of the generator G.
+func (g *Group) FixedG() *Fixed {
+	g.gOnce.Do(func() { g.gFixed = g.NewFixed(g.G) })
+	return g.gFixed
+}
+
+// kernel returns P's Montgomery kernel, or nil when P's width has none
+// (every set but SG-512).
+func (g *Group) kernel() *mont.Wide {
+	g.wideOnce.Do(func() { g.wide = mont.NewWide(g.P) })
+	return g.wide
+}
+
+// Fixed is a base prepared for repeated exponentiation — the generator,
+// an encryption key, a verification key. Where P has a kernel the base's
+// 16 KiB comb table is built on the first exponentiation and reused by
+// every later one; elsewhere Exp is big.Int.Exp. Either way the result is
+// the unique reduced residue, bit-identical to Group.Exp. A Fixed is safe
+// for concurrent use.
+type Fixed struct {
+	g    *Group
+	base *big.Int
+	once sync.Once
+	comb *mont.Comb // nil until first use, and always where P has no kernel
+}
+
+// NewFixed returns a fixed-base handle for base. It does no work until
+// the first exponentiation.
+func (g *Group) NewFixed(base *big.Int) *Fixed { return &Fixed{g: g, base: base} }
+
+// Base returns the handle's base.
+func (f *Fixed) Base() *big.Int { return f.base }
+
+// Exp returns Base^e mod P.
+func (f *Fixed) Exp(e *big.Int) *big.Int {
+	return f.g.MultiExpFixed([]*Fixed{f}, []*big.Int{e})
+}
+
+func (f *Fixed) table() *mont.Comb {
+	f.once.Do(func() {
+		if w := f.g.kernel(); w != nil {
+			f.comb = w.NewComb(f.base)
+		}
+	})
+	return f.comb
+}
+
+// MultiExpFixed returns the product of fs[i].Base()^es[i] mod P. Where P
+// has a kernel the tables share one chain of squarings.
+func (g *Group) MultiExpFixed(fs []*Fixed, es []*big.Int) *big.Int {
+	if w := g.kernel(); w != nil {
+		var small [2]*mont.Comb
+		combs := small[:0]
+		for _, f := range fs {
+			combs = append(combs, f.table())
+		}
+		if out := w.ExpCombs(combs, es); out != nil {
+			return out
+		}
+	}
+	bases := make([]*big.Int, len(fs))
+	for i, f := range fs {
+		bases[i] = f.base
+	}
+	return g.prodExp(bases, es)
+}
+
+// MultiExp returns the product of bases[i]^es[i] mod P, by simultaneous
+// exponentiation where P has a kernel.
+func (g *Group) MultiExp(bases, es []*big.Int) *big.Int {
+	if w := g.kernel(); w != nil {
+		if out := w.MultiExp(bases, es); out != nil {
+			return out
+		}
+	}
+	return g.prodExp(bases, es)
+}
+
+// prodExp is the big.Int reference for the multi-exponentiations: the
+// product of separate exponentiations. It serves widths without a kernel
+// and exponents outside the kernel's range (negative, or 2^256 and up).
+func (g *Group) prodExp(bases, es []*big.Int) *big.Int {
+	acc := big.NewInt(1)
+	for i, b := range bases {
+		acc = g.Mul(acc, g.Exp(b, es[i]))
+	}
+	return acc
+}
 
 // Mul returns a*b mod P.
 func (g *Group) Mul(a, b *big.Int) *big.Int {

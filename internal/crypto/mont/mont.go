@@ -1,23 +1,34 @@
 // Package mont implements modular exponentiation for odd fixed-width
 // moduli using Montgomery multiplication over stack-allocated word
 // arrays. It exists purely as a faster drop-in for big.Int.Exp on the
-// simulator's hot verification paths: results are bit-exact (the reduced
-// residue is unique, and Exp always returns it fully reduced), so
+// simulator's hot paths: results are bit-exact (the reduced residue is
+// unique, and every entry point returns it fully reduced), so
 // accept/reject decisions and every byte derived from an exponentiation
 // are identical to the math/big path.
 //
 // The speed comes from what is *not* done per call: no nat allocations,
-// no normalization passes, and no per-limb function calls — a fully
-// unrolled CIOS (coarsely integrated operand scanning) kernel works
-// directly on fixed-size arrays that never leave the stack. Only the
-// width the hot parameter sets lean on gets a kernel: 4 words, the
-// 256-bit CRT halves through which every TS-512 threshold-RSA
-// exponentiation runs. At wider moduli math/big's assembly inner loops
-// win back the advantage (measured on the 512-bit SG-512 shape), so
-// NewModulus declines them and callers keep using big.Int.Exp.
+// no normalization passes, and no per-limb function calls — fully
+// unrolled CIOS (coarsely integrated operand scanning) kernels work
+// directly on fixed-size arrays that never leave the stack. Two widths
+// have a kernel:
 //
-// A Modulus is immutable after construction and all per-call scratch is
-// on the stack, so Exp is safe for concurrent use.
+//   - 4 words (Modulus): the 256-bit CRT halves through which every
+//     TS-512 threshold-RSA exponentiation runs. Modulus.Exp is a general
+//     drop-in for big.Int.Exp.
+//   - 8 words (Wide): the 512-bit SG-512 Schnorr group. At this width a
+//     general square-and-multiply Exp does not beat math/big's assembly
+//     inner loops (measured), so NewModulus still declines 8-word moduli.
+//     What Wide offers instead are algorithms that do fewer
+//     multiplications: a fixed-base comb for bases that never change
+//     (the group generator, encryption keys, verification keys) and a
+//     simultaneous multi-exponentiation for products of powers.
+//
+// Moduli of any other width have no kernel; the constructors return nil
+// and callers keep using big.Int.Exp.
+//
+// A Modulus or Wide (and a built Comb) is immutable after construction
+// and all per-call scratch is local to the call, so all are safe for
+// concurrent use.
 package mont
 
 import (
@@ -51,23 +62,29 @@ func NewModulus(m *big.Int) *Modulus {
 		return nil
 	}
 	mod := &Modulus{w: len(words), nat: new(big.Int).Set(m)}
-	for i, wd := range words {
-		mod.m[i] = uint64(wd)
+	mod.n0inv = setup(m, mod.m[:mod.w], mod.r2[:mod.w])
+	return mod
+}
+
+// setup fills mw with the words of the odd modulus m and r2 with
+// R^2 mod m (R = 2^(64*len(mw))), and returns -m^{-1} mod 2^64.
+func setup(m *big.Int, mw, r2 []uint64) uint64 {
+	for i, wd := range m.Bits() {
+		mw[i] = uint64(wd)
 	}
 	// inv = m[0]^{-1} mod 2^64 by Newton iteration: an odd m[0] is its own
 	// inverse mod 8, and each step doubles the valid bit count (3 -> 96).
-	inv := mod.m[0]
+	inv := mw[0]
 	for i := 0; i < 5; i++ {
-		inv *= 2 - mod.m[0]*inv
+		inv *= 2 - mw[0]*inv
 	}
-	mod.n0inv = -inv
-	r := new(big.Int).Lsh(big.NewInt(1), uint(64*mod.w))
+	r := new(big.Int).Lsh(big.NewInt(1), uint(64*len(mw)))
 	r.Mul(r, r)
 	r.Mod(r, m)
 	for i, wd := range r.Bits() {
-		mod.r2[i] = uint64(wd)
+		r2[i] = uint64(wd)
 	}
-	return mod
+	return -inv
 }
 
 // Exp returns x^e mod m, fully reduced — bit-exact with

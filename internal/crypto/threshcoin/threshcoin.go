@@ -33,10 +33,11 @@ type PublicKey struct {
 	K     int        // shares needed
 	L     int        // total parties
 
-	// cc is attached by Deal: memoized per-coin base elements and
-	// share-verification verdicts. Both are pure functions of public
-	// inputs, so hits are exact; keys built without Deal run the slow
-	// path. Guarded: dealt keys are shared across concurrent simulations.
+	// cc is attached by Deal: memoized per-coin base elements,
+	// share-verification verdicts, and the VKs' fixed-base handles. All
+	// are pure functions of public inputs, so hits are exact; keys built
+	// without Deal run the slow path. Guarded: dealt keys are shared
+	// across concurrent simulations.
 	cc *tcCache
 }
 
@@ -44,6 +45,28 @@ type tcCache struct {
 	mu       sync.Mutex
 	bases    map[string]*big.Int // coin name -> HashToGroup base
 	verified map[[32]byte]error  // (name, share) -> verdict
+
+	// The handles are created on first use and each builds its comb
+	// table on its own first exponentiation, so Deal builds no table.
+	fixedOnce sync.Once
+	vks       []*group.Fixed
+}
+
+// fixedVKs returns fixed-base handles of every VK: the key's own, created
+// once, or unshared ones for a key built without Deal.
+func (pk *PublicKey) fixedVKs() []*group.Fixed {
+	build := func() []*group.Fixed {
+		vks := make([]*group.Fixed, len(pk.VKs))
+		for i, vk := range pk.VKs {
+			vks[i] = pk.Group.NewFixed(vk)
+		}
+		return vks
+	}
+	if pk.cc == nil {
+		return build()
+	}
+	pk.cc.fixedOnce.Do(func() { pk.cc.vks = build() })
+	return pk.cc.vks
 }
 
 // cacheCap bounds each memo map; overflow clears the map (a safety
@@ -125,7 +148,7 @@ func (pk *PublicKey) base(name []byte) *big.Int {
 func (pk *PublicKey) Share(priv PrivateShare, name []byte, rand io.Reader) (*CoinShare, error) {
 	h := pk.base(name)
 	sigma := pk.Group.Exp(h, priv.S)
-	proof, err := dleq.Prove(pk.Group, pk.Group.G, h, pk.VKs[priv.Index-1], sigma, priv.S, rand)
+	proof, err := dleq.Prove(pk.Group, pk.Group.FixedG(), h, pk.VKs[priv.Index-1], sigma, priv.S, rand)
 	if err != nil {
 		return nil, fmt.Errorf("threshcoin: proving share: %w", err)
 	}
@@ -142,8 +165,9 @@ func (pk *PublicKey) VerifyShare(name []byte, sh *CoinShare) error {
 	if sh.Sigma == nil || sh.Proof == nil || sh.Proof.C == nil || sh.Proof.Z == nil {
 		return errors.New("threshcoin: missing share material")
 	}
+	vk := pk.fixedVKs()[sh.Index-1]
 	if pk.cc == nil {
-		return dleq.Verify(pk.Group, pk.Group.G, pk.base(name), pk.VKs[sh.Index-1], sh.Sigma, sh.Proof)
+		return dleq.Verify(pk.Group, pk.Group.FixedG(), pk.base(name), vk, sh.Sigma, sh.Proof)
 	}
 	key := shareKey(name, sh)
 	pk.cc.mu.Lock()
@@ -152,7 +176,7 @@ func (pk *PublicKey) VerifyShare(name []byte, sh *CoinShare) error {
 	if hit {
 		return verdict
 	}
-	err := dleq.Verify(pk.Group, pk.Group.G, pk.base(name), pk.VKs[sh.Index-1], sh.Sigma, sh.Proof)
+	err := dleq.Verify(pk.Group, pk.Group.FixedG(), pk.base(name), vk, sh.Sigma, sh.Proof)
 	pk.cc.mu.Lock()
 	if len(pk.cc.verified) >= cacheCap {
 		clear(pk.cc.verified)
@@ -209,6 +233,7 @@ func (pk *PublicKey) Combine(name []byte, shares []*CoinShare) ([32]byte, error)
 	}
 	use := shares[:pk.K]
 	pts := make([]shamir.Share, pk.K)
+	sigmas := make([]*big.Int, pk.K)
 	seen := make(map[int]bool, pk.K)
 	for i, sh := range use {
 		if seen[sh.Index] {
@@ -216,12 +241,9 @@ func (pk *PublicKey) Combine(name []byte, shares []*CoinShare) ([32]byte, error)
 		}
 		seen[sh.Index] = true
 		pts[i] = shamir.Share{X: sh.Index}
+		sigmas[i] = sh.Sigma
 	}
-	lams := shamir.LagrangeSet(pts, pk.Group.Q)
-	sigma := big.NewInt(1)
-	for i, sh := range use {
-		sigma = pk.Group.Mul(sigma, pk.Group.Exp(sh.Sigma, lams[i]))
-	}
+	sigma := pk.Group.MultiExp(sigmas, shamir.LagrangeSet(pts, pk.Group.Q))
 	d := sha256.New()
 	d.Write([]byte("threshcoin-out"))
 	d.Write(name)

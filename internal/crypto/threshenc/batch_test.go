@@ -59,25 +59,3 @@ func TestVerifySharesMatchesPerShare(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkVerifyShare measures one uncached decryption-share verification.
-func BenchmarkVerifyShare(b *testing.B) {
-	key := testKey(b, 2, 4)
-	rng := rand.New(rand.NewSource(45))
-	ct, err := key.Public.Encrypt([]byte("bench payload"), rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sh, err := key.Public.DecryptShare(key.Shares[0], ct, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ref := key.Public
-	ref.cc = nil
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ref.VerifyShare(ct, sh); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -33,15 +33,39 @@ type PublicKey struct {
 	K     int
 	L     int
 
-	// cc is attached by Deal: memoized decryption-share verdicts. Every
-	// party verifies every other party's share of each ciphertext, and
-	// the verdict is a pure function of public inputs, so hits are exact.
+	// cc is attached by Deal: memoized decryption-share verdicts and the
+	// fixed-base handles of H and the VKs. Every party verifies every
+	// other party's share of each ciphertext, and the verdict is a pure
+	// function of public inputs, so hits are exact.
 	cc *teCache
 }
 
 type teCache struct {
 	mu       sync.Mutex
 	verified map[[32]byte]error
+
+	// The handles are created on first use and each builds its comb
+	// table on its own first exponentiation, so Deal builds no table.
+	fixedOnce sync.Once
+	h         *group.Fixed
+	vks       []*group.Fixed
+}
+
+// fixed returns fixed-base handles of H and of every VK: the key's own,
+// created once, or unshared ones for a key built without Deal.
+func (pk *PublicKey) fixed() (h *group.Fixed, vks []*group.Fixed) {
+	build := func() (*group.Fixed, []*group.Fixed) {
+		vks := make([]*group.Fixed, len(pk.VKs))
+		for i, vk := range pk.VKs {
+			vks[i] = pk.Group.NewFixed(vk)
+		}
+		return pk.Group.NewFixed(pk.H), vks
+	}
+	if pk.cc == nil {
+		return build()
+	}
+	pk.cc.fixedOnce.Do(func() { pk.cc.h, pk.cc.vks = build() })
+	return pk.cc.h, pk.cc.vks
 }
 
 // PrivateShare is party i's decryption key share.
@@ -102,7 +126,8 @@ func (pk *PublicKey) Encrypt(plaintext []byte, rand io.Reader) (*Ciphertext, err
 		return nil, fmt.Errorf("threshenc: sampling nonce: %w", err)
 	}
 	c1 := pk.Group.ExpG(r)
-	seed := kdf(pk.Group.Exp(pk.H, r))
+	h, _ := pk.fixed()
+	seed := kdf(h.Exp(r))
 	body := make([]byte, len(plaintext))
 	xorStream(seed, plaintext, body)
 	ct := &Ciphertext{C1: c1, Body: body}
@@ -116,7 +141,7 @@ func (pk *PublicKey) DecryptShare(priv PrivateShare, ct *Ciphertext, rand io.Rea
 		return nil, err
 	}
 	d := pk.Group.Exp(ct.C1, priv.Z)
-	proof, err := dleq.Prove(pk.Group, pk.Group.G, ct.C1, pk.VKs[priv.Index-1], d, priv.Z, rand)
+	proof, err := dleq.Prove(pk.Group, pk.Group.FixedG(), ct.C1, pk.VKs[priv.Index-1], d, priv.Z, rand)
 	if err != nil {
 		return nil, fmt.Errorf("threshenc: proving share: %w", err)
 	}
@@ -138,8 +163,9 @@ func (pk *PublicKey) VerifyShare(ct *Ciphertext, sh *DecShare) error {
 	if err := checkCiphertext(ct); err != nil {
 		return err
 	}
+	_, vks := pk.fixed()
 	if pk.cc == nil {
-		return dleq.Verify(pk.Group, pk.Group.G, ct.C1, pk.VKs[sh.Index-1], sh.D, sh.Proof)
+		return dleq.Verify(pk.Group, pk.Group.FixedG(), ct.C1, vks[sh.Index-1], sh.D, sh.Proof)
 	}
 	key := decShareKey(ct, sh)
 	pk.cc.mu.Lock()
@@ -148,7 +174,7 @@ func (pk *PublicKey) VerifyShare(ct *Ciphertext, sh *DecShare) error {
 	if hit {
 		return verdict
 	}
-	err := dleq.Verify(pk.Group, pk.Group.G, ct.C1, pk.VKs[sh.Index-1], sh.D, sh.Proof)
+	err := dleq.Verify(pk.Group, pk.Group.FixedG(), ct.C1, vks[sh.Index-1], sh.D, sh.Proof)
 	pk.cc.mu.Lock()
 	if len(pk.cc.verified) >= 4096 {
 		clear(pk.cc.verified)
@@ -207,6 +233,7 @@ func (pk *PublicKey) Combine(ct *Ciphertext, shares []*DecShare) ([]byte, error)
 	}
 	use := shares[:pk.K]
 	pts := make([]shamir.Share, pk.K)
+	ds := make([]*big.Int, pk.K)
 	seen := make(map[int]bool, pk.K)
 	for i, sh := range use {
 		if seen[sh.Index] {
@@ -214,12 +241,9 @@ func (pk *PublicKey) Combine(ct *Ciphertext, shares []*DecShare) ([]byte, error)
 		}
 		seen[sh.Index] = true
 		pts[i] = shamir.Share{X: sh.Index}
+		ds[i] = sh.D
 	}
-	lams := shamir.LagrangeSet(pts, pk.Group.Q)
-	hr := big.NewInt(1)
-	for i, sh := range use {
-		hr = pk.Group.Mul(hr, pk.Group.Exp(sh.D, lams[i]))
-	}
+	hr := pk.Group.MultiExp(ds, shamir.LagrangeSet(pts, pk.Group.Q))
 	out := make([]byte, len(ct.Body))
 	xorStream(kdf(hr), ct.Body, out)
 	return out, nil
