@@ -9,29 +9,13 @@ import (
 // kernel: 8 words, the 512-bit SG-512 Schnorr-group modulus.
 const wideWords = 8
 
-// expWords bounds the exponents the Wide algorithms accept: 0 <= e <
-// 2^256, which covers every exponent reduced mod a 256-bit group order.
-const expWords = 4
-
-// Comb geometry: a 256-bit exponent is read as combTeeth rows of
-// combSpan bits, so one table lookup consumes combTeeth exponent bits and
-// b^e costs combSpan-1 squarings plus at most combSpan multiplies.
-const (
-	combTeeth = 8
-	combSpan  = 64 * expWords / combTeeth
-)
-
 // Wide holds the Montgomery constants for one odd 8-word modulus. It
 // carries only the algorithms that beat big.Int.Exp at this width by
 // doing fewer multiplications — a fixed-base comb (Comb, ExpCombs) and a
 // simultaneous multi-exponentiation (MultiExp) — not a general Exp.
 // A Wide is immutable after construction and safe for concurrent use.
 type Wide struct {
-	m     [wideWords]uint64
-	r2    [wideWords]uint64 // R^2 mod m, R = 2^512
-	one   [wideWords]uint64 // R mod m: 1 in Montgomery form
-	n0inv uint64
-	nat   *big.Int
+	kernel[[wideWords]uint64]
 }
 
 // NewWide precomputes Montgomery constants for m. It returns nil unless m
@@ -41,72 +25,38 @@ func NewWide(m *big.Int) *Wide {
 	if bits.UintSize != 64 || m == nil || m.Sign() <= 0 || m.Bit(0) == 0 || len(m.Bits()) != wideWords {
 		return nil
 	}
-	w := &Wide{nat: new(big.Int).Set(m)}
-	w.n0inv = setup(m, w.m[:], w.r2[:])
-	var unit [wideWords]uint64
-	unit[0] = 1
-	w.mul(&w.one, &unit, &w.r2)
+	w := &Wide{}
+	w.init(m)
 	return w
 }
 
-// Comb is a fixed-base table for one base b: entry idx holds
-// b^(sum of 2^(combSpan*j) over the set bits j of idx), in Montgomery
-// form. It is 16 KiB and immutable once built.
+// Comb is a fixed-base table for one base b with MaxTeeth teeth: entry
+// idx holds b^(sum of 2^(32*j) over the set bits j of idx), in
+// Montgomery form. It is 16 KiB and immutable once built.
 type Comb struct {
-	tbl [1 << combTeeth][wideWords]uint64
+	tbl [1 << MaxTeeth][wideWords]uint64
 }
 
 // NewComb builds the comb table for base b (any integer; it is reduced
 // mod m first).
 func (w *Wide) NewComb(b *big.Int) *Comb {
 	c := new(Comb)
-	c.tbl[0] = w.one
-	w.toMont(&c.tbl[1], b)
-	for j := 1; j < combTeeth; j++ {
-		p := &c.tbl[1<<j]
-		*p = c.tbl[1<<(j-1)]
-		for s := 0; s < combSpan; s++ {
-			w.sqr(p, p)
-		}
-	}
-	for idx := 3; idx < len(c.tbl); idx++ {
-		if low := idx & -idx; low != idx {
-			w.mul(&c.tbl[idx], &c.tbl[idx^low], &c.tbl[low])
-		}
-	}
+	w.buildComb(c.tbl[:], b, MaxTeeth)
 	return c
 }
 
 // ExpCombs returns the product of b_i^es[i] mod m, where combs[i] is the
-// table of b_i. The combs share one squaring chain, so k bases cost
-// combSpan-1 squarings plus at most k*combSpan multiplies. It returns nil
-// when any exponent lies outside [0, 2^256); the caller then computes the
-// product with big.Int.Exp.
+// table of b_i. The combs share one squaring chain, so k bases cost 31
+// squarings plus at most 32k multiplies. It returns nil when any
+// exponent lies outside [0, 2^256); the caller then computes the product
+// with big.Int.Exp.
 func (w *Wide) ExpCombs(combs []*Comb, es []*big.Int) *big.Int {
-	var small [2][expWords]uint64
-	ew, ok := expWordsOf(small[:0], es)
-	if !ok {
-		return nil
+	var small [2][][wideWords]uint64
+	tbls := small[:0]
+	for _, c := range combs {
+		tbls = append(tbls, c.tbl[:])
 	}
-	z := w.one
-	started := false
-	for i := combSpan - 1; i >= 0; i-- {
-		if started {
-			w.sqr(&z, &z)
-		}
-		for k, c := range combs {
-			var idx uint64
-			for j := 0; j < combTeeth; j++ {
-				bit := combSpan*j + i
-				idx |= (ew[k][bit/64] >> uint(bit%64) & 1) << j
-			}
-			if idx != 0 {
-				w.mul(&z, &z, &c.tbl[idx])
-				started = true
-			}
-		}
-	}
-	return w.fromMont(&z)
+	return w.expCombs(tbls, MaxTeeth, es)
 }
 
 // MultiExp returns the product of bases[i]^es[i] mod m by Straus's
@@ -115,97 +65,12 @@ func (w *Wide) ExpCombs(combs []*Comb, es []*big.Int) *big.Int {
 // separate exponentiations. Bases may be any integers (they are reduced
 // mod m first). It returns nil when any exponent lies outside
 // [0, 2^256); the caller then computes the product with big.Int.Exp.
-func (w *Wide) MultiExp(bases, es []*big.Int) *big.Int {
-	var smallE [2][expWords]uint64
-	ew, ok := expWordsOf(smallE[:0], es)
-	if !ok {
-		return nil
-	}
-	var smallT [2][16][wideWords]uint64
-	tbls := smallT[:0]
-	if len(bases) <= len(smallT) {
-		tbls = smallT[:len(bases)]
-	} else {
-		tbls = make([][16][wideWords]uint64, len(bases))
-	}
-	top := 0
-	for k, b := range bases {
-		t := &tbls[k]
-		t[0] = w.one
-		w.toMont(&t[1], b)
-		for i := 2; i < 16; i++ {
-			w.mul(&t[i], &t[i-1], &t[1])
-		}
-		top = max(top, es[k].BitLen())
-	}
-	z := w.one
-	started := false
-	for pos := (top+3)/4 - 1; pos >= 0; pos-- {
-		if started {
-			w.sqr(&z, &z)
-			w.sqr(&z, &z)
-			w.sqr(&z, &z)
-			w.sqr(&z, &z)
-		}
-		for k := range tbls {
-			if nib := ew[k][pos>>4] >> (uint(pos&15) * 4) & 0xf; nib != 0 {
-				w.mul(&z, &z, &tbls[k][nib])
-				started = true
-			}
-		}
-	}
-	return w.fromMont(&z)
-}
+func (w *Wide) MultiExp(bases, es []*big.Int) *big.Int { return w.multiExp(bases, es) }
 
-// Fits reports whether e is an exponent the Wide algorithms accept:
-// 0 <= e < 2^256.
-func Fits(e *big.Int) bool { return e.Sign() >= 0 && e.BitLen() <= 64*expWords }
-
-// expWordsOf appends the little-endian words of each exponent to dst,
-// reporting false if any exponent does not Fit.
-func expWordsOf(dst [][expWords]uint64, es []*big.Int) ([][expWords]uint64, bool) {
-	for _, e := range es {
-		if !Fits(e) {
-			return nil, false
-		}
-		var ew [expWords]uint64
-		for i, wd := range e.Bits() {
-			ew[i] = uint64(wd)
-		}
-		dst = append(dst, ew)
-	}
-	return dst, true
-}
-
-// toMont sets z to x*R mod m, reducing x into [0, m) first.
-func (w *Wide) toMont(z *[wideWords]uint64, x *big.Int) {
-	if x.Sign() < 0 || x.Cmp(w.nat) >= 0 {
-		x = new(big.Int).Mod(x, w.nat)
-	}
-	var xw [wideWords]uint64
-	for i, wd := range x.Bits() {
-		xw[i] = uint64(wd)
-	}
-	w.mul(z, &xw, &w.r2)
-}
-
-// fromMont leaves the Montgomery domain (multiplying by 1 strips the R
-// factor) and returns the fully reduced residue.
-func (w *Wide) fromMont(z *[wideWords]uint64) *big.Int {
-	var unit, out [wideWords]uint64
-	unit[0] = 1
-	w.mul(&out, z, &unit)
-	words := make([]big.Word, wideWords)
-	for i := range words {
-		words[i] = big.Word(out[i])
-	}
-	return new(big.Int).SetBits(words)
-}
-
-// mul sets z = x*y*R^{-1} mod m: the 8-word CIOS kernel, mul4's scheme
+// mul8 sets z = x*y*R^{-1} mod m: the 8-word CIOS kernel, mul4's scheme
 // unrolled at twice the width. Inputs must be < m; the output is < m. z
 // may alias x and/or y.
-func (w *Wide) mul(z, x, y *[wideWords]uint64) {
+func mul8(w *kernel[[wideWords]uint64], z, x, y *[wideWords]uint64) {
 	m0, m1, m2, m3, m4, m5, m6, m7 := w.m[0], w.m[1], w.m[2], w.m[3], w.m[4], w.m[5], w.m[6], w.m[7]
 	x0, x1, x2, x3, x4, x5, x6, x7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
 	inv := w.n0inv
@@ -311,12 +176,12 @@ func (w *Wide) mul(z, x, y *[wideWords]uint64) {
 	}
 }
 
-// sqr sets z = x*x*R^{-1} mod m, for x < m; z may alias x. It computes
+// sqr8 sets z = x*x*R^{-1} mod m, for x < m; z may alias x. It computes
 // the full 16-word square first — each cross product x[i]*x[j] once,
 // doubled by a shift, plus the diagonal x[i]^2 — and then Montgomery-
 // reduces it a word at a time (separated operand scanning), which needs
-// 36 word multiplies for the square instead of mul's 64.
-func (w *Wide) sqr(z, x *[wideWords]uint64) {
+// 36 word multiplies for the square instead of mul8's 64.
+func sqr8(w *kernel[[wideWords]uint64], z, x *[wideWords]uint64) {
 	x0, x1, x2, x3, x4, x5, x6, x7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
 	var t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15, hi, lo, c, cc uint64
 	// Cross products x[i]*x[j], i < j, row by row.

@@ -137,8 +137,9 @@ func BenchmarkVerifyShare(b *testing.B) {
 }
 
 // BenchmarkVerifyShareAccel is BenchmarkVerifyShare with the CRT
-// accelerator but no verdict memo: the real per-verification cost on the
-// fast path.
+// accelerator but no key cache — no verdict memo and no comb tables: the
+// per-verification cost of plain CRT exponentiation.
+// BenchmarkVerifyShareFresh measures the full fast path.
 func BenchmarkVerifyShareAccel(b *testing.B) {
 	key := testKey(b, 2, 4)
 	msg := []byte("bench message")
@@ -157,9 +158,10 @@ func BenchmarkVerifyShareAccel(b *testing.B) {
 }
 
 // BenchmarkVerifySharesBatch measures verifying all l shares of one
-// message through the batch API with a fresh memo per iteration: the
-// amortization comes from the shared message context and the CRT
-// accelerator, not from cross-iteration verdict replay.
+// message through the batch API with fresh memos per iteration: the
+// amortization comes from the shared message context, the key's comb
+// tables and the CRT accelerator, not from cross-iteration verdict
+// replay.
 func BenchmarkVerifySharesBatch(b *testing.B) {
 	key := testKey(b, 2, 4)
 	msg := []byte("bench message")
@@ -172,14 +174,12 @@ func BenchmarkVerifySharesBatch(b *testing.B) {
 		}
 		shares[i] = sh
 	}
-	pk := key.Public // copy sharing acc; cc swapped per iteration below
+	pk := key.Public // copy sharing acc, with a cache of its own
+	pk.cc = newPKCache(pk.L)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pk.cc = &pkCache{
-			msgs:     make(map[[32]byte]*msgCtx),
-			verified: make(map[[32]byte]error),
-			lag:      make(map[string]*big.Int),
-		}
+		clear(pk.cc.msgs)
+		clear(pk.cc.verified)
 		for j, err := range pk.VerifyShares(msg, shares) {
 			if err != nil {
 				b.Fatalf("share %d rejected: %v", j, err)

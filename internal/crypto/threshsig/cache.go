@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"math/big"
 	"sync"
+
+	"repro/internal/crypto/mont"
 )
 
 // pkCache memoizes the deterministic intermediate values of a dealt key.
@@ -32,13 +34,51 @@ type pkCache struct {
 	verified map[[32]byte]error
 	// lag: integer Lagrange coefficients keyed by (subset, index).
 	lag map[string]*big.Int
+
+	// v and vkInv[i-1]: comb tables (mod p and mod q, MaxTeeth teeth,
+	// 16 KiB each) of the verification base V and of VK_i^{-1}, for the
+	// fixed-base exponentiations of Sign and share verification. Each is
+	// built on first use, never in Deal, so dealing costs what it did.
+	v     lazyComb
+	vkInv []lazyComb
+}
+
+// newPKCache returns the empty cache of a key with l parties.
+func newPKCache(l int) *pkCache {
+	return &pkCache{
+		msgs:     make(map[[32]byte]*msgCtx),
+		verified: make(map[[32]byte]error),
+		lag:      make(map[string]*big.Int),
+		vkInv:    make([]lazyComb, l),
+	}
+}
+
+// lazyComb is a comb table built on first use. A nil table after the
+// build means the fast path does not apply (no 4-word kernel, or a base
+// that is not a unit mod N).
+type lazyComb struct {
+	once sync.Once
+	c    *crtComb
+}
+
+func (l *lazyComb) get(build func() *crtComb) *crtComb {
+	l.once.Do(func() { l.c = build() })
+	return l.c
 }
 
 // msgCtx is the per-message exponentiation context.
 type msgCtx struct {
 	x   *big.Int // H(msg) in Z_N
-	x4d *big.Int // x^{4*delta} — the share-proof base
+	b   *big.Int // x^{2*delta}: the base of every signer's share and commitment
+	x4d *big.Int // x^{4*delta} = b^2 — the share-proof base
+	// comb: b's comb table (msgTeeth teeth, 1 KiB), shared by the signers
+	// of the message and built by the first.
+	comb lazyComb
 }
+
+// msgTeeth is the tooth count of a message's comb: 16 entries per half,
+// cheap enough to build for the few exponentiations one message sees.
+const msgTeeth = 4
 
 // cacheCap bounds each memo map; on overflow the map is cleared (the
 // working set of a sweep cell is tiny compared to this, so eviction is a
@@ -54,6 +94,39 @@ func (pk *PublicKey) exp(base, e *big.Int) *big.Int {
 		return pk.acc.exp(base, e)
 	}
 	return new(big.Int).Exp(base, e, pk.N)
+}
+
+// vComb returns V's comb tables, or nil off the fast path.
+func (pk *PublicKey) vComb() *crtComb {
+	if pk.cc == nil {
+		return nil
+	}
+	return pk.cc.v.get(func() *crtComb { return pk.acc.newComb(pk.V, mont.MaxTeeth) })
+}
+
+// vkInvComb returns the comb tables of VK_i^{-1}, or nil off the fast
+// path.
+func (pk *PublicKey) vkInvComb(i int) *crtComb {
+	if pk.cc == nil {
+		return nil
+	}
+	return pk.cc.vkInv[i-1].get(func() *crtComb {
+		inv := new(big.Int).ModInverse(pk.VKs[i-1], pk.N)
+		if inv == nil {
+			return nil
+		}
+		return pk.acc.newComb(inv, mont.MaxTeeth)
+	})
+}
+
+// msgComb returns the comb tables of the message's b = x^{2*delta}, or
+// nil off the fast path (including an x that is not a unit). Only cached
+// contexts get one: an uncached context serves a single call.
+func (pk *PublicKey) msgComb(ctx *msgCtx) *crtComb {
+	if pk.cc == nil {
+		return nil
+	}
+	return ctx.comb.get(func() *crtComb { return pk.acc.newComb(ctx.b, msgTeeth) })
 }
 
 // deltaL returns L! (cached when the key carries a cache).
@@ -73,10 +146,8 @@ func (pk *PublicKey) deltaL() *big.Int {
 // first use. Safe under concurrent misses: both goroutines compute the
 // same pure values and one result wins.
 func (pk *PublicKey) ctxFor(msg []byte) *msgCtx {
-	d := pk.deltaL()
 	if pk.cc == nil {
-		x := hashToModulus(pk.N, pk.Salt, msg)
-		return &msgCtx{x: x, x4d: pk.exp(x, new(big.Int).Lsh(d, 2))}
+		return pk.newMsgCtx(msg)
 	}
 	key := sha256.Sum256(msg)
 	pk.cc.mu.Lock()
@@ -85,8 +156,7 @@ func (pk *PublicKey) ctxFor(msg []byte) *msgCtx {
 	if ctx != nil {
 		return ctx
 	}
-	x := hashToModulus(pk.N, pk.Salt, msg)
-	ctx = &msgCtx{x: x, x4d: pk.exp(x, new(big.Int).Lsh(d, 2))}
+	ctx = pk.newMsgCtx(msg)
 	pk.cc.mu.Lock()
 	if prior := pk.cc.msgs[key]; prior != nil {
 		ctx = prior
@@ -98,6 +168,13 @@ func (pk *PublicKey) ctxFor(msg []byte) *msgCtx {
 	}
 	pk.cc.mu.Unlock()
 	return ctx
+}
+
+// newMsgCtx computes the context of msg.
+func (pk *PublicKey) newMsgCtx(msg []byte) *msgCtx {
+	x := hashToModulus(pk.N, pk.Salt, msg)
+	b := pk.exp(x, new(big.Int).Lsh(pk.deltaL(), 1))
+	return &msgCtx{x: x, b: b, x4d: pk.mulMod(b, b)}
 }
 
 // combineExponents returns the cached Bezout pair (a, b) with
@@ -131,14 +208,16 @@ func (pk *PublicKey) combineExponents() (a, b *big.Int, ok bool) {
 }
 
 // shareKey digests a (message, share) pair for the verdict memo. The key
-// covers every byte the verifier reads, so two shares collide only if
-// they would verify identically anyway.
+// covers every byte the verifier reads — including the signs of C and Z,
+// which big.Int.Bytes drops — so two shares collide only if they would
+// verify identically anyway.
 func shareKey(msgDigest [32]byte, sh *SigShare) [32]byte {
 	h := sha256.New()
 	h.Write(msgDigest[:])
 	var ib [4]byte
 	binary.BigEndian.PutUint32(ib[:], uint32(sh.Index))
 	h.Write(ib[:])
+	h.Write([]byte{byte(sh.C.Sign() + 1), byte(sh.Z.Sign() + 1)})
 	writeLenPrefixed(h, sh.X.Bytes())
 	writeLenPrefixed(h, sh.C.Bytes())
 	writeLenPrefixed(h, sh.Z.Bytes())

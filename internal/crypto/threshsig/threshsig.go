@@ -138,11 +138,7 @@ func Deal(name string, p, q *big.Int, k, l int, rand io.Reader) (*Key, error) {
 		Public: PublicKey{
 			Name: name, N: n, E: e, V: v, VKs: vks, K: k, L: l, Salt: salt,
 			acc: newAccel(p, q),
-			cc: &pkCache{
-				msgs:     make(map[[32]byte]*msgCtx),
-				verified: make(map[[32]byte]error),
-				lag:      make(map[string]*big.Int),
-			},
+			cc:  newPKCache(l),
 		},
 		Shares: shares,
 	}, nil
@@ -182,18 +178,28 @@ func hashToModulus(n *big.Int, salt [16]byte, msg []byte) *big.Int {
 }
 
 // Sign produces party i's signature share on msg, with a validity proof.
+//
+// Both variable-base exponentiations share the message's base
+// b = x^{2*delta}: xi = b^{s_i} and t1 = x4d^w = b^{2w}. On the fast path
+// they run on b's comb, which every signer of the message reuses, and
+// t2 = v^w on V's comb.
 func (pk *PublicKey) Sign(share PrivateShare, msg []byte, rand io.Reader) (*SigShare, error) {
 	ctx := pk.ctxFor(msg)
-	d := pk.deltaL()
-	// exponent 2*delta*s_i
-	exp := new(big.Int).Lsh(d, 1)
-	exp.Mul(exp, share.S)
-	xi := pk.exp(ctx.x, exp)
+	bc := pk.msgComb(ctx)
+	var xi *big.Int
+	if bc != nil && share.S.Sign() >= 0 {
+		xi = pk.acc.expCombs([]*crtComb{bc}, []*big.Int{share.S})
+	} else {
+		// exponent 2*delta*s_i
+		exp := new(big.Int).Lsh(pk.deltaL(), 1)
+		exp.Mul(exp, share.S)
+		xi = pk.exp(ctx.x, exp)
+	}
 
 	// Proof of log equality: log_{x4d}(xi^2) == log_v(v_i), exponent s_i.
 	// x4d = x^{4*delta}.
 	x4d := ctx.x4d
-	xi2 := pk.exp(xi, two)
+	xi2 := pk.mulMod(xi, xi)
 	vi := pk.VKs[share.Index-1]
 
 	// Random w of |N| + 2*256 bits.
@@ -202,8 +208,17 @@ func (pk *PublicKey) Sign(share PrivateShare, msg []byte, rand io.Reader) (*SigS
 	if err != nil {
 		return nil, err
 	}
-	t1 := pk.exp(x4d, w)
-	t2 := pk.exp(pk.V, w)
+	var t1, t2 *big.Int
+	if bc != nil {
+		t1 = pk.acc.expCombs([]*crtComb{bc}, []*big.Int{new(big.Int).Lsh(w, 1)})
+	} else {
+		t1 = pk.exp(x4d, w)
+	}
+	if vc := pk.vComb(); vc != nil {
+		t2 = pk.acc.expCombs([]*crtComb{vc}, []*big.Int{w})
+	} else {
+		t2 = pk.exp(pk.V, w)
+	}
 	c := proofChallenge(pk, x4d, xi2, vi, t1, t2)
 	// z = w + c*s_i over the integers.
 	z := new(big.Int).Mul(c, share.S)
@@ -261,32 +276,64 @@ func (pk *PublicKey) verifyShareWith(ctx *msgCtx, msgDigest [32]byte, sh *SigSha
 	return err
 }
 
-// verifyShareFull recomputes the share's Chaum–Pedersen proof.
+var errDegenerateShare = errors.New("threshsig: degenerate share")
+
+// verifyShareFull recomputes the share's Chaum–Pedersen proof. A share
+// value that is not a unit mod N has no inverse for the proof's xi2^{-c}
+// and is rejected before any exponentiation.
 func (pk *PublicKey) verifyShareFull(ctx *msgCtx, sh *SigShare) error {
-	x4d := ctx.x4d
-	xi2 := pk.exp(sh.X, two)
-	vi := pk.VKs[sh.Index-1]
-	// Recompute commitments: t1 = x4d^z * xi2^{-c}, t2 = v^z * vi^{-c}.
-	t1 := pk.exp(x4d, sh.Z)
-	inv := pk.exp(xi2, sh.C)
-	inv.ModInverse(inv, pk.N)
-	if inv.Sign() == 0 {
-		return errors.New("threshsig: degenerate share")
+	xi2 := pk.mulMod(sh.X, sh.X)
+	xi2Inv := new(big.Int).ModInverse(xi2, pk.N)
+	if xi2Inv == nil {
+		return errDegenerateShare
 	}
-	t1.Mul(t1, inv)
-	t1.Mod(t1, pk.N)
-	t2 := pk.exp(pk.V, sh.Z)
-	inv2 := pk.exp(vi, sh.C)
-	inv2.ModInverse(inv2, pk.N)
-	if inv2.Sign() == 0 {
-		return errors.New("threshsig: degenerate verification key")
+	t1, t2 := pk.fastCommitments(ctx, sh, xi2Inv)
+	if t1 == nil {
+		var err error
+		if t1, t2, err = pk.refCommitments(ctx, sh, xi2Inv); err != nil {
+			return err
+		}
 	}
-	t2.Mul(t2, inv2)
-	t2.Mod(t2, pk.N)
-	if proofChallenge(pk, x4d, xi2, vi, t1, t2).Cmp(sh.C) != 0 {
+	if proofChallenge(pk, ctx.x4d, xi2, pk.VKs[sh.Index-1], t1, t2).Cmp(sh.C) != 0 {
 		return errors.New("threshsig: share proof rejected")
 	}
 	return nil
+}
+
+// fastCommitments recomputes the proof commitments t1 = x4d^z * xi2^{-c}
+// and t2 = v^z * vi^{-c} on the fast path: t1 as one Straus chain over
+// x4d and xi2^{-1}, t2 as one joint comb over the key's tables of V and
+// vi^{-1}. It returns nils where the fast path does not apply — no
+// kernel or cache, a negative z or c, a verification key or message
+// base that is not a unit — and the caller takes refCommitments.
+func (pk *PublicKey) fastCommitments(ctx *msgCtx, sh *SigShare, xi2Inv *big.Int) (t1, t2 *big.Int) {
+	if !pk.acc.fast() || sh.Z.Sign() < 0 || sh.C.Sign() < 0 {
+		return nil, nil
+	}
+	vc, kc := pk.vComb(), pk.vkInvComb(sh.Index)
+	if vc == nil || kc == nil {
+		return nil, nil
+	}
+	es := []*big.Int{sh.Z, sh.C}
+	if t1 = pk.acc.multiExp([]*big.Int{ctx.x4d, xi2Inv}, es); t1 == nil {
+		return nil, nil
+	}
+	return t1, pk.acc.expCombs([]*crtComb{vc, kc}, es)
+}
+
+// refCommitments is the reference for fastCommitments: separate
+// exponentiations through pk.exp, for any integers z and c.
+func (pk *PublicKey) refCommitments(ctx *msgCtx, sh *SigShare, xi2Inv *big.Int) (t1, t2 *big.Int, err error) {
+	viInv := new(big.Int).ModInverse(pk.VKs[sh.Index-1], pk.N)
+	if viInv == nil {
+		return nil, nil, errors.New("threshsig: degenerate verification key")
+	}
+	t1 = pk.mulPow(ctx.x4d, sh.Z, xi2Inv, sh.C)
+	t2 = pk.mulPow(pk.V, sh.Z, viInv, sh.C)
+	if t1 == nil || t2 == nil {
+		return nil, nil, errDegenerateShare
+	}
+	return t1, t2, nil
 }
 
 // Combine assembles k verified shares into a standard RSA signature on msg.
@@ -313,17 +360,9 @@ func (pk *PublicKey) Combine(msg []byte, shares []*SigShare) (*Signature, error)
 	w := big.NewInt(1)
 	for _, sh := range use {
 		lam := pk.lagrangeFor(use, sh.Index, d)
-		exp := new(big.Int).Lsh(lam, 1) // 2 * lambda
-		neg := exp.Sign() < 0
-		if neg {
-			exp.Neg(exp)
-		}
-		t := pk.exp(sh.X, exp)
-		if neg {
-			t.ModInverse(t, pk.N)
-			if t.Sign() == 0 {
-				return nil, errors.New("threshsig: non-invertible share")
-			}
+		t := pk.powSigned(sh.X, new(big.Int).Lsh(lam, 1)) // 2 * lambda
+		if t == nil {
+			return nil, errors.New("threshsig: non-invertible share")
 		}
 		w.Mul(w, t)
 		w.Mod(w, pk.N)
@@ -336,6 +375,9 @@ func (pk *PublicKey) Combine(msg []byte, shares []*SigShare) (*Signature, error)
 		return nil, errors.New("threshsig: exponent not coprime to 4*delta^2")
 	}
 	sigma := pk.mulPow(x, a, w, b)
+	if sigma == nil {
+		return nil, errors.New("threshsig: non-invertible share")
+	}
 	sig := &Signature{S: sigma}
 	if err := pk.Verify(msg, sig); err != nil {
 		return nil, fmt.Errorf("threshsig: combination failed (bad share among inputs): %w", err)
@@ -382,21 +424,33 @@ func integerLagrange(subset []*SigShare, i int, d *big.Int) *big.Int {
 	return out
 }
 
-// mulPow computes x^a * w^b mod N handling negative exponents.
+// mulPow computes x^a * w^b mod N for any integers a and b, or returns
+// nil when a negative exponent meets a base that is not a unit mod N.
 func (pk *PublicKey) mulPow(x, a, w, b *big.Int) *big.Int {
-	f := func(base, exp *big.Int) *big.Int {
-		if exp.Sign() >= 0 {
-			return pk.exp(base, exp)
-		}
-		e := new(big.Int).Neg(exp)
-		t := pk.exp(base, e)
-		t.ModInverse(t, pk.N)
-		return t
+	xa, wb := pk.powSigned(x, a), pk.powSigned(w, b)
+	if xa == nil || wb == nil {
+		return nil
 	}
-	out := f(x, a)
-	out.Mul(out, f(w, b))
-	out.Mod(out, pk.N)
-	return out
+	return pk.mulMod(xa, wb)
+}
+
+// powSigned returns base^e mod N for any integer e, or nil when e < 0 and
+// base is not a unit mod N.
+func (pk *PublicKey) powSigned(base, e *big.Int) *big.Int {
+	if e.Sign() >= 0 {
+		return pk.exp(base, e)
+	}
+	inv := new(big.Int).ModInverse(base, pk.N)
+	if inv == nil {
+		return nil
+	}
+	return pk.exp(inv, new(big.Int).Neg(e))
+}
+
+// mulMod returns a*b mod N.
+func (pk *PublicKey) mulMod(a, b *big.Int) *big.Int {
+	out := new(big.Int).Mul(a, b)
+	return out.Mod(out, pk.N)
 }
 
 func proofChallenge(pk *PublicKey, parts ...*big.Int) *big.Int {
